@@ -260,18 +260,15 @@ let unpack ~name packed =
     label_index = None }
 
 (* --- Mutations ---------------------------------------------------------
-   Functional updates: rebuild the parsed-tree form with one edit applied
-   and re-flatten through [of_tree]. The (pre, post, depth) labels and
-   subtree extents come out consistent by construction — the same code
-   path that built the document rebuilds it — at the price of O(n) work
-   per edit. Handles are pre-order ranks, so any structural edit shifts
-   the handles of every node at or after the edit point; callers must
-   re-resolve handles against the returned document. *)
-
-type edit =
-  | Drop of int
-  | Set_value of int * string
-  | Graft of { parent : int; before : int option; tree : Xml_tree.t }
+   Functional updates that splice the node array in one pass. A subtree is
+   a contiguous pre-order range, so an edit at rank [at] that grafts or
+   drops [s] nodes moves every later node by [s]: its rank (the array
+   index), post, parent (when the parent is later too) and subtree_end.
+   The edit point's ancestors widen or narrow by [s] (post and
+   subtree_end), its later siblings' ordinals move by one, and every
+   other node is shared as is. Handles are pre-order ranks, so any
+   structural edit shifts the handles of every node at or after the edit
+   point; callers must re-resolve handles against the returned document. *)
 
 let check_handle d i ctx =
   if i < 0 || i >= Array.length d.nodes then
@@ -279,76 +276,89 @@ let check_handle d i ctx =
       (Printf.sprintf "Doc.%s: handle %d out of range (document has %d nodes)"
          ctx i (Array.length d.nodes))
 
-let rebuild d edit =
-  let rec go i =
-    let n = d.nodes.(i) in
-    match n.kind with
-    | Text ->
-        let v = match edit with Set_value (k, v) when k = i -> v | _ -> n.value in
-        Xml_tree.Text v
-    | Attribute ->
-        (* Attributes are folded into their owning element below. *)
-        assert false
-    | Element ->
-        let cs = children d i in
-        let attrs =
-          List.filter_map
-            (fun j ->
-              let c = d.nodes.(j) in
-              if c.kind <> Attribute then None
-              else
-                let aname = String.sub c.label 1 (String.length c.label - 1) in
-                match edit with
-                | Drop k when k = j -> None
-                | Set_value (k, v) when k = j -> Some (aname, v)
-                | _ -> Some (aname, c.value))
-            cs
-        in
-        let kids = List.filter (fun j -> d.nodes.(j).kind <> Attribute) cs in
-        let built =
-          List.concat_map
-            (fun j ->
-              let sub = match edit with Drop k when k = j -> [] | _ -> [ go j ] in
-              match edit with
-              | Graft { parent; before = Some b; tree } when parent = i && b = j ->
-                  tree :: sub
-              | _ -> sub)
-            kids
-        in
-        let built =
-          match edit with
-          | Graft { parent; before = None; tree } when parent = i ->
-              built @ [ tree ]
-          | _ -> built
-        in
-        Xml_tree.Element { tag = n.label; attrs; children = built }
-  in
-  of_tree ~name:d.name (go 0)
+(* Widen (or narrow, for negative [s]) [a] and each of its ancestors. *)
+let rec resize_ancestors nodes a s =
+  if a >= 0 then begin
+    let n = nodes.(a) in
+    nodes.(a) <- { n with post = n.post + s; subtree_end = n.subtree_end + s };
+    resize_ancestors nodes n.parent s
+  end
 
 let insert_subtree d ~parent ?before tree =
   check_handle d parent "insert_subtree";
-  if d.nodes.(parent).kind <> Element then
+  let p = d.nodes.(parent) in
+  if p.kind <> Element then
     invalid_arg "Doc.insert_subtree: parent is not an element";
-  (match before with
-  | None -> ()
-  | Some b ->
-      check_handle d b "insert_subtree";
-      if d.nodes.(b).parent <> parent then
-        invalid_arg "Doc.insert_subtree: ~before is not a child of ~parent";
-      if d.nodes.(b).kind = Attribute then
-        invalid_arg "Doc.insert_subtree: cannot insert before an attribute");
-  rebuild d (Graft { parent; before; tree })
+  let at, ordinal =
+    match before with
+    | None -> (p.subtree_end, List.length (children d parent) + 1)
+    | Some b ->
+        check_handle d b "insert_subtree";
+        let nb = d.nodes.(b) in
+        if nb.parent <> parent then
+          invalid_arg "Doc.insert_subtree: ~before is not a child of ~parent";
+        if nb.kind = Attribute then
+          invalid_arg "Doc.insert_subtree: cannot insert before an attribute";
+        (b, nb.ordinal)
+  in
+  let graft = (of_tree tree).nodes in
+  let s = Array.length graft in
+  (* The nodes that close before the graft's root are those before [at]
+     other than its [p.depth] ancestors. *)
+  let post0 = at - p.depth in
+  let nodes =
+    Array.init
+      (Array.length d.nodes + s)
+      (fun j ->
+        if j < at then d.nodes.(j)
+        else if j < at + s then
+          let g = graft.(j - at) in
+          if j = at then
+            { g with post = g.post + post0; depth = g.depth + p.depth; parent;
+              ordinal; subtree_end = g.subtree_end + at }
+          else
+            { g with post = g.post + post0; depth = g.depth + p.depth;
+              parent = g.parent + at; subtree_end = g.subtree_end + at }
+        else
+          let n = d.nodes.(j - s) in
+          { n with
+            post = n.post + s;
+            parent = (if n.parent >= at then n.parent + s else n.parent);
+            ordinal = (if n.parent = parent then n.ordinal + 1 else n.ordinal);
+            subtree_end = n.subtree_end + s })
+  in
+  resize_ancestors nodes parent s;
+  { name = d.name; nodes; label_index = None }
 
 let delete_subtree d i =
   check_handle d i "delete_subtree";
   if i = 0 then invalid_arg "Doc.delete_subtree: cannot delete the root";
-  rebuild d (Drop i)
+  let stop = d.nodes.(i).subtree_end and parent = d.nodes.(i).parent in
+  let s = stop - i in
+  let nodes =
+    Array.init
+      (Array.length d.nodes - s)
+      (fun j ->
+        if j < i then d.nodes.(j)
+        else
+          let n = d.nodes.(j + s) in
+          { n with
+            post = n.post - s;
+            parent = (if n.parent >= stop then n.parent - s else n.parent);
+            ordinal = (if n.parent = parent then n.ordinal - 1 else n.ordinal);
+            subtree_end = n.subtree_end - s })
+  in
+  resize_ancestors nodes parent (-s);
+  { name = d.name; nodes; label_index = None }
 
+(* Labels do not change, so the label index (if built) stays valid. *)
 let update_value d i v =
   check_handle d i "update_value";
   if d.nodes.(i).kind = Element then
     invalid_arg "Doc.update_value: values live on text and attribute nodes";
-  rebuild d (Set_value (i, v))
+  let nodes = Array.copy d.nodes in
+  nodes.(i) <- { nodes.(i) with value = v };
+  { name = d.name; nodes; label_index = d.label_index }
 
 let handle_of_id d nid =
   let check i = if i >= 0 && i < Array.length d.nodes then Some i else None in

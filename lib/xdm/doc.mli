@@ -84,9 +84,10 @@ val iter : (int -> unit) -> t -> unit
 (** {1 Mutations}
 
     Functional updates: each returns a fresh document with one edit
-    applied; the input is untouched. The flattened layout is rebuilt
-    through the {!of_tree} path, so all structural invariants hold by
-    construction. Node handles are pre-order ranks and are therefore
+    applied; the input is untouched. The node array is spliced in one
+    O(n) pass: only an inserted tree is flattened, and the nodes after
+    the edit point shift their labels by the subtree's size. Node
+    handles are pre-order ranks and are therefore
     {b not stable} across structural edits — re-resolve any held handles
     against the returned document. All three raise [Invalid_argument] on
     handles that are out of range or of the wrong kind. *)

@@ -157,9 +157,10 @@ type t = {
   mutable lsn : int;  (* records applied; the WAL position of this state *)
   mutable snapshot_lsn : int;  (* lsn covered by the latest snapshot save *)
   mutable wal : Wal.Writer.t option;
-  mutable dormant : (string * Pattern.t * string) list;
-      (* modules dropped by maintenance (name, xam, reason), retried for
-         resurrection on every later apply *)
+  mutable dormant : (string * Pattern.t * string * int) list;
+      (* modules dropped by maintenance (name, xam, reason, slot), retried
+         for resurrection on every later apply; [slot] is the module's
+         place in the roster (live ∪ dormant), ascending *)
   mutable reader_faults : unit -> (string * int * string) list;
       (* partition page-in faults from the backing snapshot reader, if
          this engine was opened lazily *)
@@ -543,7 +544,7 @@ type minfo = {
   mt_rebuilt : int;
   mt_dropped : (string * string) list;
   mt_resurrected : string list;
-  mt_dormant : (string * Pattern.t * string) list;
+  mt_dormant : (string * Pattern.t * string * int) list;
   mt_paths_added : string list;
   mt_paths_removed : string list;
 }
@@ -580,18 +581,28 @@ let summary_paths s =
    validates against the new summary are dropped to the dormant list and
    retried on every later apply — a module dropped because an edit
    removed its last matching path resurrects the moment an edit brings
-   the path back. Deterministic (pure list folds), which is what makes
-   WAL replay reproduce the exact same catalog. *)
+   the path back. A dormant module keeps its slot in the roster (live ∪
+   dormant, in catalog order), and a resurrected one rejoins the catalog
+   there. So the catalog is a deterministic function of the final
+   document over the roster (pure list folds), however many applies and
+   drops led to it: one pass over a WAL tail or a batch reproduces the
+   exact catalog that one pass per record would. *)
 let maintain t doc =
   let prev = materialized_catalog t in
   let summary, phi = Summary.build doc in
   let old_paths = summary_paths prev.Store.summary in
   let new_paths = summary_paths summary in
-  let dormant_names = List.map (fun (n, _, _) -> n) t.dormant in
+  let dormant_names = List.map (fun (n, _, _, _) -> n) t.dormant in
   let candidates =
-    List.map (fun (m : Store.module_) -> (m.Store.name, m.Store.xam))
-      prev.Store.modules
-    @ List.map (fun (n, x, _) -> (n, x)) t.dormant
+    let rec roster i live dormant =
+      match (live, dormant) with
+      | _, (n, x, _, slot) :: ds when slot <= i || live = [] ->
+          (n, x) :: roster (i + 1) live ds
+      | (m : Store.module_) :: ms, _ ->
+          (m.Store.name, m.Store.xam) :: roster (i + 1) ms dormant
+      | [], _ -> []
+    in
+    roster 0 prev.Store.modules t.dormant
   in
   let built =
     List.map
@@ -642,10 +653,13 @@ let maintain t doc =
       modules
   in
   let dormant =
-    List.filter_map
-      (fun (n, reason) ->
-        Option.map (fun xam -> (n, xam, reason)) (List.assoc_opt n candidates))
-      failures
+    List.concat
+      (List.mapi
+         (fun slot (n, xam) ->
+           match List.assoc_opt n failures with
+           | Some reason -> [ (n, xam, reason, slot) ]
+           | None -> [])
+         candidates)
   in
   ( { Store.summary; modules },
     { mt_kept = !kept;
@@ -682,75 +696,49 @@ let install_update t doc catalog (info : minfo) =
   Metrics.add t.m.m_parts_kept info.mt_kept;
   Metrics.add t.m.m_parts_rebuilt info.mt_rebuilt
 
-let prepare_apply t op =
-  let doc =
-    match t.doc with
-    | Some d -> d
-    | None -> raise (update_invalid "engine holds no document to mutate")
-  in
-  let doc = mutate_doc doc op in
-  let t0 = clk t () in
-  let catalog, info = maintain t doc in
-  Metrics.observe t.m.h_splice (clk t () -. t0);
-  (doc, catalog, info)
-
 let with_apply_lock t f =
   Mutex.lock t.apply_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.apply_lock) f
 
-(* The write-ahead ordering: (1) prepare off to the side — the mutated
-   document and maintained catalog exist only as local values, a failure
-   here changes nothing; (2) make the record durable — an [Error] from
-   the WAL leaves engine state untouched, an injected [Fsio.Crashed]
-   escapes as the exception it is; (3) install and advance the LSN. A
-   crash between (2) and (3) is exactly what replay absorbs: the WAL
-   holds one record the state does not, and recovery re-applies it. *)
-let apply_r t op =
-  with_apply_lock t (fun () ->
-      let t0 = clk t () in
-      match prepare_apply t op with
-      | exception Xerror.Error e -> Error e
-      | doc, catalog, info -> (
-          let appended =
-            match t.wal with
-            | None -> Ok ()
-            | Some w -> (
-                match Wal.Writer.append w op with
-                | Ok _ -> Ok ()
-                | Error reason ->
-                    Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))
-          in
-          match appended with
-          | Error e -> Error e
-          | Ok () ->
-              install_update t doc catalog info;
-              t.lsn <- t.lsn + 1;
-              Metrics.incr t.m.m_applies;
-              Metrics.observe t.m.h_apply (clk t () -. t0);
-              Metrics.set_gauge t.m.g_wal_lag
-                (float_of_int (t.lsn - t.snapshot_lsn));
-              Ok
-                { ap_lsn = t.lsn;
-                  ap_parts_kept = info.mt_kept;
-                  ap_parts_rebuilt = info.mt_rebuilt;
-                  ap_paths_added = info.mt_paths_added;
-                  ap_paths_removed = info.mt_paths_removed;
-                  ap_dropped = info.mt_dropped;
-                  ap_resurrected = info.mt_resurrected }))
+let current_doc t =
+  match t.doc with
+  | Some d -> d
+  | None -> raise (update_invalid "engine holds no document to mutate")
 
-let apply t op =
-  match apply_r t op with Ok r -> r | Error e -> raise (Xerror.Error e)
+(* The one write path, run under the apply lock; [doc] is the current
+   document with [ops] applied, built off to the side, so a failure up
+   to here changed nothing. (1) Maintain the catalog once over [doc]
+   (one pass covers all of [ops], see [maintain]); (2) make the records
+   durable with [log] — an [Error] leaves engine state untouched, an
+   injected [Fsio.Crashed] escapes as the exception it is; (3) install
+   and advance the LSN by one per op. A crash between (2) and (3) is
+   exactly what replay absorbs: the WAL holds records the state does
+   not, and recovery re-applies them. *)
+let commit t doc ops ~log =
+  let st = clk t () in
+  let catalog, info = maintain t doc in
+  Metrics.observe t.m.h_splice (clk t () -. st);
+  match log () with
+  | Error e -> Error e
+  | Ok () ->
+      install_update t doc catalog info;
+      t.lsn <- t.lsn + List.length ops;
+      Metrics.set_gauge t.m.g_wal_lag (float_of_int (t.lsn - t.snapshot_lsn));
+      Ok
+        { ap_lsn = t.lsn;
+          ap_parts_kept = info.mt_kept;
+          ap_parts_rebuilt = info.mt_rebuilt;
+          ap_paths_added = info.mt_paths_added;
+          ap_paths_removed = info.mt_paths_removed;
+          ap_dropped = info.mt_dropped;
+          ap_resurrected = info.mt_resurrected }
 
-(* [apply_r] amortized over a batch: one apply-lock acquisition, one
-   maintenance pass (splice cost per batch, not per op), one
-   group-committed WAL write covering all N records, one install. The
-   WAL still holds N individual records and recovery replays them
-   one-by-one; maintenance is a deterministic function of the final
-   document over (modules ∪ dormant), so per-record replay converges on
-   the catalog the batch installed. All-or-nothing: an invalid op
-   anywhere in the batch applies none of it, and a WAL failure leaves
-   engine state untouched. Op [k+1]'s handles resolve against the
-   document after op [k], exactly as under sequential [apply_r]. *)
+(* A batch is one apply-lock acquisition, one maintenance pass (splice
+   cost per batch, not per op), one group-committed WAL write covering
+   all N records, one install. All-or-nothing: an invalid op anywhere in
+   the batch applies none of it, and a WAL failure leaves engine state
+   untouched. Op [k+1]'s handles resolve against the document after op
+   [k], exactly as under sequential applies. *)
 let apply_batch_r t ops =
   match ops with
   | [] ->
@@ -761,65 +749,63 @@ let apply_batch_r t ops =
   | _ ->
       with_apply_lock t (fun () ->
           let t0 = clk t () in
-          match
-            let doc0 =
-              match t.doc with
-              | Some d -> d
-              | None ->
-                  raise (update_invalid "engine holds no document to mutate")
-            in
-            List.fold_left mutate_doc doc0 ops
-          with
+          match List.fold_left mutate_doc (current_doc t) ops with
           | exception Xerror.Error e -> Error e
-          | doc -> (
-              let st = clk t () in
-              let catalog, info = maintain t doc in
-              Metrics.observe t.m.h_splice (clk t () -. st);
-              let appended =
+          | doc ->
+              let log () =
                 match t.wal with
                 | None -> Ok ()
                 | Some w -> (
                     match Wal.Writer.append_batch w ops with
                     | Ok _ -> Ok ()
                     | Error reason ->
-                        Error
-                          (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))
+                        Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))
               in
-              match appended with
-              | Error e -> Error e
-              | Ok () ->
-                  install_update t doc catalog info;
-                  t.lsn <- t.lsn + List.length ops;
-                  Metrics.add t.m.m_applies (List.length ops);
-                  Metrics.observe t.m.h_apply (clk t () -. t0);
-                  Metrics.set_gauge t.m.g_wal_lag
-                    (float_of_int (t.lsn - t.snapshot_lsn));
-                  Ok
-                    { ap_lsn = t.lsn;
-                      ap_parts_kept = info.mt_kept;
-                      ap_parts_rebuilt = info.mt_rebuilt;
-                      ap_paths_added = info.mt_paths_added;
-                      ap_paths_removed = info.mt_paths_removed;
-                      ap_dropped = info.mt_dropped;
-                      ap_resurrected = info.mt_resurrected }))
+              let res = commit t doc ops ~log in
+              if Result.is_ok res then begin
+                Metrics.add t.m.m_applies (List.length ops);
+                Metrics.observe t.m.h_apply (clk t () -. t0)
+              end;
+              res)
 
 let apply_batch t ops =
   match apply_batch_r t ops with
   | Ok r -> r
   | Error e -> raise (Xerror.Error e)
 
-(* Replay is [apply_r] minus the WAL append: the record is already
-   durable, so it goes straight through prepare + install. The LSN comes
-   from the record, not a local increment — replay lands the engine at
-   exactly the logged position. *)
-let replay_one t (r : Wal.record) =
-  match prepare_apply t r.Wal.op with
-  | exception Xerror.Error e -> Error e
-  | doc, catalog, info ->
-      install_update t doc catalog info;
-      t.lsn <- r.Wal.lsn;
-      Metrics.incr t.m.m_replayed;
-      Ok ()
+let apply_r t op = apply_batch_r t [ op ]
+
+let apply t op =
+  match apply_r t op with Ok r -> r | Error e -> raise (Xerror.Error e)
+
+(* Replay is the write path minus the WAL append: the records are
+   already durable. The tail's records mutate the document one by one,
+   then one [commit] maintains and installs the result; the LSN lands on
+   the last record (the tail is contiguous above [t.lsn]). A record that
+   no longer applies stops the fold: the records before it are still
+   installed, and its error is returned. *)
+let replay t (records : Wal.record list) =
+  let rec mutate doc ops = function
+    | [] -> (doc, List.rev ops, Ok ())
+    | (r : Wal.record) :: rest -> (
+        match mutate_doc doc r.Wal.op with
+        | doc -> mutate doc (r.Wal.op :: ops) rest
+        | exception Xerror.Error e -> (doc, List.rev ops, Error e))
+  in
+  match records with
+  | [] -> Ok ()
+  | _ -> (
+      match current_doc t with
+      | exception Xerror.Error e -> Error e
+      | doc0 -> (
+          match mutate doc0 [] records with
+          | _, [], stopped -> stopped
+          | doc, ops, stopped -> (
+              match commit t doc ops ~log:(fun () -> Ok ()) with
+              | Error e -> Error e
+              | Ok _ ->
+                  Metrics.add t.m.m_replayed (List.length ops);
+                  stopped)))
 
 let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
   let wal_err reason = Xerror.Wal_error { path = dir; reason } in
@@ -863,15 +849,8 @@ let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
                 match check (base + 1) todo with
                 | Error e -> Error e
                 | Ok () -> (
-                    let rec replay = function
-                      | [] -> Ok ()
-                      | r :: rest -> (
-                          match replay_one t r with
-                          | Ok () -> replay rest
-                          | Error e -> Error e)
-                    in
                     let rt0 = clk t () in
-                    match replay todo with
+                    match replay t todo with
                     | Error e -> Error e
                     | Ok () -> (
                         Metrics.observe t.m.h_replay (clk t () -. rt0);
@@ -991,7 +970,7 @@ let lsn t = t.lsn
 let snapshot_lsn t = t.snapshot_lsn
 let wal_dir t = Option.map Wal.Writer.dir t.wal
 let document t = t.doc
-let dormant_modules t = List.map (fun (n, _, r) -> (n, r)) t.dormant
+let dormant_modules t = List.map (fun (n, _, r, _) -> (n, r)) t.dormant
 let partition_faults t = t.reader_faults ()
 
 let cache_key t pattern =

@@ -216,8 +216,10 @@ val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
     Recovery is [snapshot + replay]: open the engine from its latest
     snapshot (which carries the LSN it covers), then {!attach_wal} — the
     log's tail is repaired if torn, records at or below the snapshot LSN
-    are skipped (idempotence), the rest replay through the exact apply
-    path. Mid-log corruption and LSN gaps fail closed with
+    are skipped (idempotence), the rest replay as one batch through the
+    apply path minus the append: each record mutates the document, then
+    one maintenance pass and one install cover the tail. Mid-log
+    corruption and LSN gaps fail closed with
     [Wal_error]. {!checkpoint} bounds replay work: fresh snapshot first,
     then covered segments truncate.
 
@@ -227,7 +229,10 @@ val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
     ({!Xstorage.Store.spliced}) — the per-apply physical change-set is
     the touched partitions, reported in {!apply_report}. Modules whose
     XAM stops validating against the new summary are quarantined as
-    dormant and retried on every later apply. *)
+    dormant and retried on every later apply; a resurrected module
+    rejoins the catalog in the slot it was dropped from. The catalog is
+    thus a deterministic function of the final document, which is what
+    lets a batch, or a replayed tail, take a single maintenance pass. *)
 
 type mutation = Xwal.Wal.op =
   | Insert_subtree of { parent : int; before : int option; xml : string }
@@ -250,7 +255,8 @@ type apply_report = {
 }
 
 val apply_r : t -> mutation -> (apply_report, Xerror.t) Stdlib.result
-(** Apply one mutation through the write path above. [Error
+(** Apply one mutation through the write path above: {!apply_batch_r}
+    of [[op]]. [Error
     (Update_invalid _)] when the mutation is rejected (bad handle, wrong
     node kind, unparsable XML) — state unchanged; [Error (Wal_error _)]
     when the attached WAL could not make it durable — state unchanged.
@@ -268,8 +274,8 @@ val apply_batch_r : t -> mutation list -> (apply_report, Xerror.t) Stdlib.result
     ({!Xwal.Wal.Writer.append_batch} — a single acknowledged fsync), one
     install. Op [k+1]'s handles resolve against the document after op
     [k], exactly as under N sequential {!apply_r}s, and the WAL holds N
-    ordinary records, so recovery replays them one-by-one to the same
-    state. All-or-nothing: any invalid op rejects the whole batch with
+    ordinary records; recovery reaches the same state however the
+    records were batched. All-or-nothing: any invalid op rejects the whole batch with
     state unchanged. The report carries the {e final} LSN and the single
     maintenance pass's counts. An empty list is a no-op [Ok]. *)
 
@@ -288,8 +294,10 @@ val attach_wal_r :
 (** Attach (and recover from) the WAL directory: read it back, repair a
     torn tail, replay every record above the engine's LSN, then open the
     writer so subsequent {!apply}s append. Returns how many records were
-    replayed. Fails closed with [Wal_error] on mid-log corruption, an LSN
-    gap above the snapshot base, or a record that no longer applies.
+    replayed. Fails closed with [Wal_error] on mid-log corruption or an
+    LSN gap above the snapshot base; a record that no longer applies
+    returns its [Update_invalid], with the records before it installed
+    and no writer attached.
     [fs] injects a filesystem (crash harness);
     [sync]/[segment_bytes]/[commit_window]/[max_batch] as in
     {!Xwal.Wal.Writer.open_}. *)

@@ -171,6 +171,154 @@ let test_mutation_errors () =
   rejects "update an element" (fun () -> Doc.update_value d 0 "v");
   rejects "out-of-range handle" (fun () -> Doc.delete_subtree d 99)
 
+(* --- the splice against a rebuild oracle ------------------------------- *)
+
+(* The reference mutation: rebuild the parsed-tree form with one edit
+   applied and re-flatten it through [of_tree], the path that built the
+   document. Labels come out consistent by construction, at the price of
+   a full rebuild per edit. *)
+type edit =
+  | Drop of int
+  | Set_value of int * string
+  | Graft of { parent : int; before : int option; tree : T.t }
+
+let reference d edit =
+  let attr_name j =
+    let l = Doc.label d j in
+    String.sub l 1 (String.length l - 1)
+  in
+  let rec go i =
+    match Doc.kind d i with
+    | Doc.Text -> (
+        match edit with
+        | Set_value (k, v) when k = i -> T.Text v
+        | _ -> T.Text (Doc.value d i))
+    | Doc.Attribute -> assert false
+    | Doc.Element ->
+        let cs = Doc.children d i in
+        let attrs =
+          List.filter_map
+            (fun j ->
+              if Doc.kind d j <> Doc.Attribute then None
+              else
+                match edit with
+                | Drop k when k = j -> None
+                | Set_value (k, v) when k = j -> Some (attr_name j, v)
+                | _ -> Some (attr_name j, Doc.value d j))
+            cs
+        in
+        let kids = List.filter (fun j -> Doc.kind d j <> Doc.Attribute) cs in
+        let built =
+          List.concat_map
+            (fun j ->
+              let sub = match edit with Drop k when k = j -> [] | _ -> [ go j ] in
+              match edit with
+              | Graft { parent; before = Some b; tree } when parent = i && b = j ->
+                  tree :: sub
+              | _ -> sub)
+            kids
+        in
+        let built =
+          match edit with
+          | Graft { parent; before = None; tree } when parent = i -> built @ [ tree ]
+          | _ -> built
+        in
+        T.Element { tag = Doc.label d i; attrs; children = built }
+  in
+  Doc.of_tree ~name:(Doc.name d) (go 0)
+
+let splice d = function
+  | Drop i -> Doc.delete_subtree d i
+  | Set_value (i, v) -> Doc.update_value d i v
+  | Graft { parent; before; tree } -> Doc.insert_subtree d ~parent ?before tree
+
+(* Fragments to graft: elements with attributes, text (empty too) and
+   nested elements, or a bare text node. *)
+let fragment_gen =
+  let open QCheck2.Gen in
+  let text = map T.text (oneofl [ "x"; "y z"; ""; "<&>" ]) in
+  let attrs =
+    map
+      (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b))
+      (list_size (int_bound 2) (pair (oneofl [ "k"; "id"; "year" ]) (oneofl [ "1"; "v w" ])))
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then text
+      else
+        frequency
+          [ (1, text);
+            ( 3,
+              map3
+                (fun tag attrs children -> T.elt ~attrs tag children)
+                (oneofl [ "a"; "book"; "title" ])
+                attrs
+                (list_size (int_bound 3) (self (depth - 1))) ) ])
+    2
+
+let start_gen =
+  let open QCheck2.Gen in
+  oneof
+    [ map3
+        (fun seed books theses ->
+          Xworkload.Gen_bib.generate_doc ~seed ~books ~theses ())
+        (int_bound 1000) (int_range 1 6) (int_bound 3);
+      map (fun t -> Doc.of_tree (T.elt ~attrs:[ ("r", "0") ] "root" [ t ])) fragment_gen ]
+
+(* An op is resolved against the current document: [roll] picks the
+   kind, [a] and [b] pick handles. Deletes draw from every non-root
+   node, so attributes, text and inner elements all go. *)
+let edit_of d (roll, a, b, tree) =
+  let all = List.init (Doc.size d) Fun.id in
+  let pick l = List.nth l (a mod List.length l) in
+  let elements = List.filter (fun i -> Doc.kind d i = Doc.Element) all in
+  let leaves = List.filter (fun i -> Doc.kind d i <> Doc.Element) all in
+  match roll with
+  | 0 ->
+      let parent = pick elements in
+      let slots =
+        List.filter (fun c -> Doc.kind d c <> Doc.Attribute) (Doc.children d parent)
+      in
+      let before =
+        if slots = [] || b mod 3 = 0 then None
+        else Some (List.nth slots (b mod List.length slots))
+      in
+      Graft { parent; before; tree }
+  | 1 when Doc.size d > 1 -> Drop (1 + (a mod (Doc.size d - 1)))
+  | _ when leaves <> [] -> Set_value (pick leaves, Printf.sprintf "v%d" b)
+  | _ -> Graft { parent = Doc.root d; before = None; tree }
+
+let splice_prop =
+  QCheck2.Test.make ~name:"splice = rebuild oracle, op by op" ~count:150
+    QCheck2.Gen.(
+      pair start_gen
+        (list_size (int_range 1 50)
+           (quad (int_bound 2) nat nat fragment_gen)))
+    (fun (d0, ops) ->
+      let step (d, r) op =
+        (* build the label index first: update_value carries it over *)
+        ignore (Doc.nodes_with_label d "#text");
+        let edit = edit_of d op in
+        let d' = splice d edit and r' = reference r edit in
+        if Doc.pack d' <> Doc.pack r' then
+          QCheck2.Test.fail_reportf "packed arrays differ after %s"
+            (match edit with
+            | Drop i -> Printf.sprintf "delete %d" i
+            | Set_value (i, _) -> Printf.sprintf "update %d" i
+            | Graft { parent; before; _ } ->
+                Printf.sprintf "insert under %d before %s" parent
+                  (Option.fold ~none:"-" ~some:string_of_int before));
+        ignore (Doc.unpack ~name:(Doc.name d') (Doc.pack d'));
+        List.iter
+          (fun l ->
+            if Doc.nodes_with_label d' l <> Doc.nodes_with_label r' l then
+              QCheck2.Test.fail_reportf "label index for %s differs" l)
+          (Doc.labels r');
+        (d', r')
+      in
+      ignore (List.fold_left step (d0, d0) ops);
+      true)
+
 let () =
   Alcotest.run "doc"
     [ ( "doc",
@@ -188,4 +336,5 @@ let () =
             test_mutation_errors ] );
       ( "props",
         [ QCheck_alcotest.to_alcotest rebuild_prop;
-          QCheck_alcotest.to_alcotest children_prop ] ) ]
+          QCheck_alcotest.to_alcotest children_prop;
+          QCheck_alcotest.to_alcotest splice_prop ] ) ]

@@ -192,6 +192,134 @@ let test_replay_idempotent () =
               Alcotest.(check string) "byte-identical state"
                 (snapshot_bytes writer) (snapshot_bytes recovered))))
 
+(* Recovery replays the tail in one maintenance pass. The reference
+   applies the same records one at a time ([apply_batch_r [op]], one
+   maintenance pass each); the two must agree on everything a snapshot
+   persists and on the module bookkeeping that it does not. *)
+let check_same_engine ~what reference recovered =
+  Alcotest.(check int) (what ^ ": lsn") (Engine.lsn reference) (Engine.lsn recovered);
+  Alcotest.(check (list (pair string string))) (what ^ ": quarantined")
+    (Engine.quarantined reference) (Engine.quarantined recovered);
+  Alcotest.(check (list (pair string string))) (what ^ ": dormant modules")
+    (Engine.dormant_modules reference) (Engine.dormant_modules recovered);
+  Alcotest.(check string) (what ^ ": snapshot bytes")
+    (snapshot_bytes reference) (snapshot_bytes recovered)
+
+let write_wal dir ops =
+  let w =
+    match Wal.Writer.open_ ~dir ~lsn:0 () with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "open: %s" e
+  in
+  List.iter
+    (fun op ->
+      match Wal.Writer.append w op with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "append: %s" e)
+    ops;
+  Wal.Writer.close w
+
+(* A tail that empties the phdthesis paths (their modules drop), churns,
+   brings a thesis back (they resurrect), churns, and empties the paths
+   again (they end dormant). Ops are drawn against a scratch engine that
+   applies them one at a time; returns the ops and that engine's
+   reports. *)
+let drop_resurrect_tail () =
+  let e = engine_of (bib ()) in
+  let ops = ref [] and reports = ref [] in
+  let run op =
+    ops := op :: !ops;
+    reports := apply_ok e op :: !reports
+  in
+  let doc () = Option.get (Engine.document e) in
+  let empty_theses () =
+    let rec go () =
+      match Doc.nodes_with_label (doc ()) "phdthesis" with
+      | [] -> ()
+      | h :: _ ->
+          run (Engine.Delete_subtree { node = h });
+          go ()
+    in
+    go ()
+  in
+  let churn_from k = for i = k to k + 2 do run (gen_op (doc ()) ~seed:21 i) done in
+  empty_theses ();
+  churn_from 1;
+  run
+    (Engine.Insert_subtree
+       { parent = Doc.root (doc ());
+         before = Some (List.hd (Doc.children (doc ()) (Doc.root (doc ()))));
+         xml = "<phdthesis><title>T</title><author>A</author></phdthesis>" });
+  churn_from 4;
+  empty_theses ();
+  (List.rev !ops, List.rev !reports)
+
+let test_one_pass_replay () =
+  let ops, reports = drop_resurrect_tail () in
+  let dropped_at =
+    List.filter (fun r -> r.Engine.ap_dropped <> []) reports
+    |> List.map (fun r -> r.Engine.ap_lsn)
+  and resurrected_at =
+    List.filter_map
+      (fun r -> if r.Engine.ap_resurrected <> [] then Some r.Engine.ap_lsn else None)
+      reports
+  in
+  (match (dropped_at, resurrected_at) with
+  | d :: _, r :: _ when d < r && List.exists (fun d' -> d' > r) dropped_at -> ()
+  | _ -> Alcotest.fail "the tail does not drop, resurrect and drop again");
+  with_scratch "snap" (fun snap ->
+      with_scratch "wal" (fun wal ->
+          ignore (Engine.save_snapshot (engine_of (bib ())) snap);
+          write_wal wal ops;
+          let recovered = Engine.of_snapshot snap in
+          Alcotest.(check int) "every record replays" (List.length ops)
+            (Engine.attach_wal recovered wal);
+          Engine.detach_wal recovered;
+          let reference = Engine.of_snapshot snap in
+          List.iter
+            (fun op ->
+              match Engine.apply_batch_r reference [ op ] with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "apply: %s" (Xerror.to_string e))
+            ops;
+          Alcotest.(check bool) "modules end dormant" true
+            (Engine.dormant_modules recovered <> []);
+          check_same_engine ~what:"one pass = per record" reference recovered))
+
+(* A record that no longer applies stops replay: the records before it
+   are installed (LSN on the last of them), the error comes back, and no
+   writer is attached. *)
+let test_replay_stops_at_invalid () =
+  let valid =
+    let e = engine_of (bib ()) in
+    List.init 6 (fun i ->
+        let op = gen_op (Option.get (Engine.document e)) ~seed:8 (i + 1) in
+        ignore (apply_ok e op);
+        op)
+  in
+  List.iter
+    (fun k ->
+      let prefix = List.filteri (fun i _ -> i < k - 1) valid in
+      let rest = List.filteri (fun i _ -> i >= k - 1) valid in
+      let ops = prefix @ (Engine.Delete_subtree { node = 9_999_999 } :: rest) in
+      with_scratch "snap" (fun snap ->
+          with_scratch "wal" (fun wal ->
+              ignore (Engine.save_snapshot (engine_of (bib ())) snap);
+              write_wal wal ops;
+              let recovered = Engine.of_snapshot snap in
+              (match Engine.attach_wal_r recovered wal with
+              | Error (Xerror.Update_invalid _) -> ()
+              | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e)
+              | Ok _ -> Alcotest.fail "an invalid record replayed");
+              Alcotest.(check (option string)) "no writer attached" None
+                (Engine.wal_dir recovered);
+              let reference = Engine.of_snapshot snap in
+              List.iter (fun op -> ignore (apply_ok reference op)) prefix;
+              check_same_engine
+                ~what:(Printf.sprintf "invalid record %d" k)
+                reference recovered)))
+    [ 1; 2; 5 ]
+
 (* --- crash injection ---------------------------------------------------- *)
 
 (* Kill the writer at the [kill]-th mutating filesystem operation and
@@ -881,7 +1009,11 @@ let () =
         [ Alcotest.test_case "snapshot + wal is byte-identical" `Quick
             test_replay_equality;
           Alcotest.test_case "replay skips snapshot-covered records" `Quick
-            test_replay_idempotent ] );
+            test_replay_idempotent;
+          Alcotest.test_case "one-pass replay = per-record applies" `Quick
+            test_one_pass_replay;
+          Alcotest.test_case "replay stops at an invalid record" `Quick
+            test_replay_stops_at_invalid ] );
       ( "crash",
         [ QCheck_alcotest.to_alcotest crash_equiv_prop ] );
       ( "corruption",
