@@ -1191,8 +1191,8 @@ let specialize_query qi s (entry : Canonical.entry) =
   let perm = Array.of_list (List.rev !order) in
   if Array.length perm <> Array.length q_rets then None else Some (spec, perm)
 
-let rec rewrite ?(constraints = true) ?(max_views = 3) ?(max_matches = 64)
-    ?(parallel = Xalgebra.Par.sequential) ?metrics s ~query ~views =
+let rec rewrite ?(constraints = true) ?(max_views = 3) ?(max_matches = 64) ?metrics s
+    ~query ~views =
   (match metrics with
   | Some reg ->
       Xobs.Metrics.incr
@@ -1293,10 +1293,6 @@ let rec rewrite ?(constraints = true) ?(max_views = 3) ?(max_matches = 64)
                       scan_paths = scan_paths_of qi s ms conns emb_lists }
                 else None)
   in
-  (* The generate-and-test loop is embarrassingly parallel: each candidate
-     runs its own containment checks over read-only indexes (qi, summary,
-     views). Results come back in candidate order, so the final ranking is
-     the same as the sequential one. *)
   (match metrics with
   | Some reg ->
       Xobs.Metrics.add
@@ -1305,16 +1301,9 @@ let rec rewrite ?(constraints = true) ?(max_views = 3) ?(max_matches = 64)
         (List.length candidates)
   | None -> ());
   let results =
-    if parallel.Xalgebra.Par.degree > 1 && List.length candidates > 1 then
-      Array.to_list (parallel.Xalgebra.Par.map attempt (Array.of_list candidates))
-      |> List.filter_map Fun.id
-    else List.filter_map attempt candidates
-  in
-  let results =
-    if results <> [] then results
-    else
-      union_rewritings ~constraints ~max_views ~max_matches ~parallel ?metrics s qi
-        ~views
+    match List.filter_map attempt candidates with
+    | [] -> union_rewritings ~constraints ~max_views ~max_matches ?metrics s qi ~views
+    | results -> results
   in
   let results =
     let seen = Hashtbl.create 8 in
@@ -1341,15 +1330,11 @@ let rec rewrite ?(constraints = true) ?(max_views = 3) ?(max_matches = 64)
    query is split into its canonical-model specializations; if every
    specialization rewrites, their plans union into a rewriting of the
    whole query. *)
-and union_rewritings ~constraints ~max_views ~max_matches ~parallel ?metrics s qi
-    ~views =
-  try
-    union_rewritings_exn ~constraints ~max_views ~max_matches ~parallel ?metrics s qi
-      ~views
+and union_rewritings ~constraints ~max_views ~max_matches ?metrics s qi ~views =
+  try union_rewritings_exn ~constraints ~max_views ~max_matches ?metrics s qi ~views
   with Not_found -> []
 
-and union_rewritings_exn ~constraints ~max_views ~max_matches ~parallel ?metrics s
-    qi ~views =
+and union_rewritings_exn ~constraints ~max_views ~max_matches ?metrics s qi ~views =
   if not (Pattern.is_conjunctive qi.q) then []
   else
     let entries = List.of_seq (Seq.take 17 (Canonical.model s qi.q)) in
@@ -1359,23 +1344,17 @@ and union_rewritings_exn ~constraints ~max_views ~max_matches ~parallel ?metrics
       if List.exists Option.is_none specs then []
       else
         let specs = List.map Option.get specs in
-        (* Each canonical-model specialization rewrites independently; with
-           a pool this fans the branches out across domains (the nested
-           rewrite's own candidate map then runs sequentially — the pool
-           refuses re-entrant batches). *)
-        let rewrite_spec (spec, perm) =
-          match
-            rewrite ~constraints ~max_views ~max_matches ~parallel ?metrics s
-              ~query:spec ~views
-          with
-          | [] -> None
-          | r :: _ -> Some (r, perm)
-        in
+        (* Each canonical-model specialization rewrites independently. *)
         let parts =
-          if parallel.Xalgebra.Par.degree > 1 && List.length specs > 1 then
-            Array.to_list
-              (parallel.Xalgebra.Par.map rewrite_spec (Array.of_list specs))
-          else List.map rewrite_spec specs
+          List.map
+            (fun (spec, perm) ->
+              match
+                rewrite ~constraints ~max_views ~max_matches ?metrics s ~query:spec
+                  ~views
+              with
+              | [] -> None
+              | r :: _ -> Some (r, perm))
+            specs
         in
         if List.exists Option.is_none parts then []
         else

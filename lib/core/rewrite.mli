@@ -51,7 +51,6 @@ val rewrite :
   ?constraints:bool ->
   ?max_views:int ->
   ?max_matches:int ->
-  ?parallel:Xalgebra.Par.t ->
   ?metrics:Xobs.Metrics.registry ->
   Summary.t ->
   query:Pattern.t ->
@@ -60,12 +59,7 @@ val rewrite :
 (** All rewritings found, duplicate-plan-free. [constraints] (default
     [true]) enables the strong-edge chase; [max_views] (default 3) bounds
     the number of views in one plan; [max_matches] (default 64) caps the
-    matches considered per view. [parallel] (default
-    {!Xalgebra.Par.sequential}) fans the generate-and-test loop — the
-    per-candidate containment checks of §5.5, and the per-specialization
-    branches of the union rewriting (§5.3) — out across domains; the
-    result list is identical to the sequential one, in the same order.
-    [metrics] records [rewrite_calls_total], [rewrite_candidates_total]
+    matches considered per view. [metrics] records [rewrite_calls_total], [rewrite_candidates_total]
     and [rewrite_rewritings_total] into the given registry (union
     specializations count as further calls). *)
 

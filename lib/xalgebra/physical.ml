@@ -58,19 +58,14 @@ let group_runs (arr : (Nid.t * Rel.tuple) array) : (Nid.t * Rel.tuple list) arra
     arr;
   Array.of_list (List.rev_map (fun (id, ts) -> (id, List.rev ts)) !out)
 
-(* Range form: join the descendants [descs.(lo) .. descs.(hi-1)] against
-   the whole ancestor array. Per-descendant output depends only on the
-   ancestor array and the descendant itself, so partition-parallel
-   callers pass disjoint ranges of the shared array — no copying — and
-   concatenate. [stack_tree_desc] is the full range. *)
-let stack_tree_desc_range ~axis (ancs : (Nid.t * Rel.tuple) array)
-    (descs : (Nid.t * Rel.tuple) array) lo hi : (Rel.tuple * Rel.tuple) list =
+let stack_tree_desc ~axis (ancs : (Nid.t * Rel.tuple) array)
+    (descs : (Nid.t * Rel.tuple) array) : (Rel.tuple * Rel.tuple) list =
   let ancs = group_runs ancs in
   let out = ref [] in
   let stack = ref [] in
   let na = Array.length ancs in
   let ai = ref 0 in
-  for di = lo to hi - 1 do
+  for di = 0 to Array.length descs - 1 do
     let did, dt = descs.(di) in
     (* Push every ancestor-side node starting before [did], maintaining
        the nesting-chain invariant. *)
@@ -97,11 +92,8 @@ let stack_tree_desc_range ~axis (ancs : (Nid.t * Rel.tuple) array)
   done;
   List.rev !out
 
-let stack_tree_desc ~axis ancs descs =
-  stack_tree_desc_range ~axis ancs descs 0 (Array.length descs)
-
-let stack_tree_anc_range ~axis (ancs : (Nid.t * Rel.tuple) array)
-    (descs : (Nid.t * Rel.tuple) array) lo hi : (Rel.tuple * Rel.tuple) list =
+let stack_tree_anc ~axis (ancs : (Nid.t * Rel.tuple) array)
+    (descs : (Nid.t * Rel.tuple) array) : (Rel.tuple * Rel.tuple) list =
   (* Each stack entry carries a self-list (its own pairs) and an
      inherit-list (completed pairs of deeper popped entries, which must be
      output before its own). Output is produced only when an entry leaves
@@ -127,7 +119,7 @@ let stack_tree_anc_range ~axis (ancs : (Nid.t * Rel.tuple) array)
   in
   let na = Array.length ancs in
   let ai = ref 0 in
-  for di = lo to hi - 1 do
+  for di = 0 to Array.length descs - 1 do
     let did, dt = descs.(di) in
     while !ai < na && strictly_before (fst ancs.(!ai)) did do
       let aid, ats = ancs.(!ai) in
@@ -151,48 +143,14 @@ let stack_tree_anc_range ~axis (ancs : (Nid.t * Rel.tuple) array)
   done;
   List.rev !out
 
-let stack_tree_anc ~axis ancs descs =
-  stack_tree_anc_range ~axis ancs descs 0 (Array.length descs)
-
-(* --- Partition-parallel structural join ------------------------------------ *)
-
-(* The stack-tree algorithms are data-parallel over the descendant side:
-   the pairs emitted for a descendant [d] depend only on the ancestor
-   array (every ancestor starting before [d] is replayed from index 0)
-   and on [d] itself — never on the other descendants. Splitting the
-   descendant array into contiguous document-order ranges and
-   concatenating the per-range outputs therefore reproduces the
-   sequential output {e exactly}, pair for pair, because sequential
-   emission is grouped by descendant in array order.
-
-   Each range is one scheduling unit ([Par.tasks]): at most [degree]
-   domain-sized partitions, dispatched once with a single completion
-   barrier — no per-chunk claim traffic, and the shared descendant array
-   is read in place (no [Array.sub] copies). *)
-let parallel_pairs join_range (par : Par.t) ~axis ancs descs =
-  let n = Array.length descs in
-  if par.Par.degree <= 1 || n < par.Par.chunk_min then join_range ~axis ancs descs 0 n
-  else begin
-    let k = min par.Par.degree (max 1 (n / max 1 (par.Par.chunk_min / 2))) in
-    let bounds = Array.init k (fun i -> (i * n / k, (i + 1) * n / k)) in
-    let parts =
-      par.Par.tasks (fun (lo, hi) -> join_range ~axis ancs descs lo hi) bounds
-    in
-    let pairs = List.concat (Array.to_list parts) in
-    if par.Par.verify && pairs <> join_range ~axis ancs descs 0 n then
-      invalid_arg "Physical: parallel structural join diverged from sequential";
-    pairs
-  end
-
 (* --- Compilation ----------------------------------------------------------- *)
 
 exception Fallback
 
 (* Compilation context: the evaluation environment plus a hook applied to
    every compiled operator — identity for plain compilation, a
-   stats-wrapping closure for instrumented runs — and the parallel
-   capability the structural joins split their work over. *)
-type ctx = { env : Eval.env; wrap : Logical.t -> t -> t; par : Par.t }
+   stats-wrapping closure for instrumented runs. *)
+type ctx = { env : Eval.env; wrap : Logical.t -> t -> t }
 
 let sub_plans = function
   | Logical.Scan _ | Logical.Table _ -> []
@@ -572,14 +530,13 @@ and struct_join_stream ctx kind axis lpath rpath left right : t =
         in
         let ancs = prepare pl li lpath in
         let descs = prepare pr ri rpath in
-        let pairs = parallel_pairs stack_tree_desc_range ctx.par ~axis:axis' ancs descs in
+        let pairs = stack_tree_desc ~axis:axis' ancs descs in
         of_list (List.map (fun (a, d) -> Rel.concat_tuples a d) pairs)) }
 
-let compile ?(parallel = Par.sequential) env plan =
-  compile_ctx { env; wrap = (fun _ p -> p); par = parallel } plan
+let compile env plan = compile_ctx { env; wrap = (fun _ p -> p) } plan
 
-let run ?parallel env plan =
-  let p = compile ?parallel env plan in
+let run env plan =
+  let p = compile env plan in
   Rel.make p.schema (drain (p.open_ ()))
 
 (* --- Per-query resource budgets ------------------------------------------- *)
@@ -645,8 +602,7 @@ let op_name = function
 let fresh_stats node =
   { op = op_name node; tuples = 0; nexts = 0; elapsed = 0.0; children = [] }
 
-let compile_instrumented ?(clock = Sys.time) ?budget ?(parallel = Par.sequential) env
-    plan =
+let compile_instrumented ?(clock = Sys.time) ?budget env plan =
   (* Every compiled operator gets a stats node counting next() calls,
      tuples produced and wall time (inclusive of its inputs, since a
      parent's next() pulls on its children). Keyed by physical identity of
@@ -687,7 +643,7 @@ let compile_instrumented ?(clock = Sys.time) ?budget ?(parallel = Par.sequential
             (match r with Some _ -> st.tuples <- st.tuples + 1 | None -> ());
             r) }
   in
-  let p = compile_ctx { env; wrap; par = parallel } plan in
+  let p = compile_ctx { env; wrap } plan in
   let find node =
     List.find_map (fun (n, st) -> if n == node then Some st else None) !table
   in
@@ -722,8 +678,8 @@ let record_stats reg stats =
   in
   go stats
 
-let run_instrumented ?clock ?budget ?metrics ?parallel env plan =
-  let p, stats = compile_instrumented ?clock ?budget ?parallel env plan in
+let run_instrumented ?clock ?budget ?metrics env plan =
+  let p, stats = compile_instrumented ?clock ?budget env plan in
   let finish rel =
     (match metrics with Some reg -> record_stats reg stats | None -> ());
     (rel, stats)

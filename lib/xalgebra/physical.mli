@@ -24,22 +24,14 @@ type t = {
   open_ : unit -> cursor;
 }
 
-val compile : ?parallel:Par.t -> Eval.env -> Logical.t -> t
+val compile : Eval.env -> Logical.t -> t
 (** Compile a logical plan to a physical one. Structural joins become
     StackTreeDesc (inner/outer/semi; output ordered by the descendant
     column) over inputs sorted on their join attributes, with Sort
     enforcers inserted as needed; top-level equality value joins become
-    hash joins; other predicates fall back to nested loops.
+    hash joins; other predicates fall back to nested loops. *)
 
-    With [parallel] (default {!Par.sequential}), a structural join whose
-    descendant side holds at least [parallel.chunk_min] tuples is
-    partitioned into contiguous document-order chunks evaluated across
-    domains and concatenated — producing the {e same pairs in the same
-    order} as the sequential algorithm (each descendant's pairs depend
-    only on the ancestor array). [parallel.verify] re-runs the
-    sequential join and raises on any divergence. *)
-
-val run : ?parallel:Par.t -> Eval.env -> Logical.t -> Rel.t
+val run : Eval.env -> Logical.t -> Rel.t
 (** Compile and drain. *)
 
 (** {1 Per-query resource budgets} *)
@@ -86,7 +78,6 @@ type op_stats = {
 val compile_instrumented :
   ?clock:(unit -> float) ->
   ?budget:budget ->
-  ?parallel:Par.t ->
   Eval.env ->
   Logical.t ->
   t * op_stats
@@ -102,7 +93,6 @@ val run_instrumented :
   ?clock:(unit -> float) ->
   ?budget:budget ->
   ?metrics:Xobs.Metrics.registry ->
-  ?parallel:Par.t ->
   Eval.env ->
   Logical.t ->
   Rel.t * op_stats

@@ -170,9 +170,6 @@ type t = {
   budget : budget;
   env_wrap : Eval.env -> Eval.env;
   quarantined : (string, string) Hashtbl.t;  (* module name -> fault reason *)
-  par : Xalgebra.Par.t;
-      (* the parallel capability handed to the rewriter and the physical
-         operators; [Par.sequential] without a pool *)
   obs : Obs.t;
   m : emetrics;
 }
@@ -257,7 +254,7 @@ let validation_error = function
 let catalog_error catalog = validation_error (Store.validate catalog)
 
 let create ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
-    ?(budget = unlimited) ?(env_wrap = Fun.id) ?pool ?obs ?doc catalog =
+    ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc catalog =
   (match catalog_error catalog with
   | Some e -> raise (Xerror.Error e)
   | None -> ());
@@ -287,12 +284,11 @@ let create ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
     budget;
     env_wrap;
     quarantined = Hashtbl.create 8;
-    par = (match pool with Some p -> Pool.par p | None -> Xalgebra.Par.sequential);
     obs;
     m = register_metrics obs.Obs.metrics }
 
 let create_lazy ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
-    ?(budget = unlimited) ?(env_wrap = Fun.id) ?pool ?obs ?doc lc =
+    ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc lc =
   (* The resident part is the skeleton — summary and xams, empty extents;
      everything that scans goes through [Store.lazy_env], which pages
      extents in from the backing reader. Validation is structural and
@@ -326,14 +322,11 @@ let create_lazy ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
     budget;
     env_wrap;
     quarantined = Hashtbl.create 8;
-    par = (match pool with Some p -> Pool.par p | None -> Xalgebra.Par.sequential);
     obs;
     m = register_metrics obs.Obs.metrics }
 
-let of_doc ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
-    doc specs =
-  create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
-    ~doc
+let of_doc ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?obs doc specs =
+  create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?obs ~doc
     (Store.catalog_of doc specs)
 
 let catalog t = t.catalog
@@ -446,8 +439,8 @@ let load_snapshot t path =
   | Ok () -> ()
   | Error e -> raise (Xerror.Error e)
 
-let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
-    ?obs ?(lazy_extents = false) ?extent_cache ?label path =
+let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?obs
+    ?(lazy_extents = false) ?extent_cache ?label path =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   try
     if lazy_extents then
@@ -459,7 +452,7 @@ let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?poo
       | Ok reader -> (
           match
             create_lazy ?cache_capacity ?constraints ?max_views ?budget
-              ?env_wrap ?pool ~obs
+              ?env_wrap ~obs
               ?doc:(Xpersist.Snapshot.Reader.doc reader)
               (Xpersist.Snapshot.Reader.lazy_catalog reader)
           with
@@ -481,18 +474,18 @@ let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?poo
       | Ok (doc, catalog, lsn) ->
           let t =
             create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap
-              ?pool ~obs ?doc catalog
+              ~obs ?doc catalog
           in
           t.lsn <- lsn;
           t.snapshot_lsn <- lsn;
           Ok t
   with Xerror.Error e -> Error e
 
-let of_snapshot ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
-    ?obs ?lazy_extents ?extent_cache ?label path =
+let of_snapshot ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?obs
+    ?lazy_extents ?extent_cache ?label path =
   match
-    of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap
-      ?pool ?obs ?lazy_extents ?extent_cache ?label path
+    of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?obs
+      ?lazy_extents ?extent_cache ?label path
   with
   | Ok t -> t
   | Error e -> raise (Xerror.Error e)
@@ -768,11 +761,6 @@ let apply_batch_r t ops =
               end;
               res)
 
-let apply_batch t ops =
-  match apply_batch_r t ops with
-  | Ok r -> r
-  | Error e -> raise (Xerror.Error e)
-
 let apply_r t op = apply_batch_r t [ op ]
 
 let apply t op =
@@ -1013,7 +1001,7 @@ let plan_for t (trc : tr) pattern =
           let rws =
             in_span trc "rewrite" (fun _ ->
                 Rewrite.rewrite ~constraints:t.constraints
-                  ~max_views:t.max_views ~parallel:t.par
+                  ~max_views:t.max_views
                   ~metrics:t.obs.Obs.metrics t.catalog.Store.summary
                   ~query:pattern ~views:(active_views t))
           in
@@ -1132,7 +1120,7 @@ let execute t (trc : tr) pattern (c : cached) cache_hit rewrite_ms pb ~degraded
       let t0 = clk t () in
       let rel, stats =
         Physical.run_instrumented ~clock:(clk t) ?budget:pb
-          ~metrics:t.obs.Obs.metrics ~parallel:t.par env r.Rewrite.plan
+          ~metrics:t.obs.Obs.metrics env r.Rewrite.plan
       in
       let rel = normalize_schema pattern rel in
       let exec_s = clk t () -. t0 in
@@ -1338,14 +1326,13 @@ let query_opt t pattern =
 
 (* --- Inter-query parallelism ----------------------------------------------- *)
 
-(* Run independent patterns concurrently on a transient pool. Each query
+(* Run independent items concurrently on a transient pool. Each query
    keeps its own budget, fault recovery and degraded fallback; the
    counters are atomics and the plan cache / quarantine table are behind
    [t.lock], so the accounting matches the sequential run exactly. The
    result list is in input order regardless of completion order. *)
-let query_batch ?budget ?(domains = 1) t patterns =
-  if domains <= 1 || List.length patterns <= 1 then
-    List.map (fun p -> query_r ?budget t p) patterns
+let batch_over ?(domains = 1) t run items =
+  if domains <= 1 || List.length items <= 1 then List.map run items
   else begin
     (* The base document memoizes its label index on first use; build it
        before fanning out so no two domains race to install it. *)
@@ -1355,8 +1342,11 @@ let query_batch ?budget ?(domains = 1) t patterns =
     let pool = Pool.create ~domains () in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map_list pool (fun p -> query_r ?budget t p) patterns)
+      (fun () -> Pool.map_list pool run items)
   end
+
+let query_batch ?budget ?domains t patterns =
+  batch_over ?domains t (fun p -> query_r ?budget t p) patterns
 
 (* --- XQuery front door ----------------------------------------------------- *)
 
@@ -1424,7 +1414,7 @@ let query_ast_in ?budget t (trc : tr) ast =
               let t0 = clk t () in
               let rel, stats =
                 Physical.run_instrumented ~clock:(clk t) ?budget:pb
-                  ~metrics:t.obs.Obs.metrics ~parallel:t.par env
+                  ~metrics:t.obs.Obs.metrics env
                   (Xquery.Translate.plan e)
               in
               Metrics.observe t.m.h_exec (clk t () -. t0);
@@ -1496,36 +1486,16 @@ let query_ast t ast =
 let query_string t src = query_ast t (Xquery.Parse.query src)
 
 (* Inter-query parallelism for the XQuery front door — the serving
-   layer's execution path. Same machinery as [query_batch]: a transient
-   pool, atomics for the counters, the mutex-guarded plan cache and
-   quarantine table; each item carries its own budget (admission control
-   computes the remaining deadline per request). *)
-let batch_over ?(domains = 1) t run items =
-  if domains <= 1 || List.length items <= 1 then List.map run items
-  else begin
-    (* Pre-build the base document's label index so no two domains race
-       to install it (same warm-up as [query_batch]). *)
-    (match t.doc with
-    | Some d -> ignore (Xdm.Doc.nodes_with_label d "#warm")
-    | None -> ());
-    let pool = Pool.create ~domains () in
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map_list pool run items)
-  end
-
-let query_string_batch ?domains t items =
-  batch_over ?domains t (fun (src, b) -> query_string_r ?budget:b t src) items
-
-(* The serving layer's span-joined variant: an item carrying a caller
-   span context runs inside an "execute" child of that span, so the
-   engine's own parse/extract/pattern-i/execute spans hang off the
-   request's root trace. The caller owns the trace — the engine neither
-   finishes nor slowlog-records it here (that would double-record), and
+   layer's execution path, on the same pool machinery as [query_batch];
+   each item carries its own budget (admission control computes the
+   remaining deadline per request). An item carrying a caller span
+   context runs inside an "execute" child of that span, so the engine's
+   own parse/extract/pattern-i/execute spans hang off the request's root
+   trace. The caller owns the trace — the engine neither finishes nor
+   slowlog-records it here (that would double-record), and
    [xquery_trace] stays [None] on such items. A trace is only ever
-   touched by the one domain running its item, so this composes with the
-   pool exactly like the unspanned batch. *)
-let query_string_batch_traced ?domains t items =
+   touched by the one domain running its item. *)
+let query_string_batch ?domains t items =
   let run (src, b, ctx) =
     match (ctx : (Trace.t * Trace.span) option) with
     | None -> query_string_r ?budget:b t src

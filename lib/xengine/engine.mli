@@ -70,7 +70,6 @@ val create :
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   ?doc:Xdm.Doc.t ->
   Xstorage.Store.catalog ->
@@ -82,11 +81,9 @@ val create :
     {!unlimited}) guards every query unless overridden per call.
     [env_wrap] intercepts the storage lookup surface — e.g.
     {!Xstorage.Faultstore.wrap} for fault injection — and is re-applied
-    on every catalog swap. [pool] enables {e intra}-query parallelism:
-    the rewriter's generate-and-test loop and the physical structural
-    joins fan out over the pool's domains (answers are identical to the
-    sequential ones — see {!Xalgebra.Par}); without it every query runs
-    sequentially. [obs] is the engine's observability context (clock,
+    on every catalog swap. Each query runs on the calling domain;
+    {!query_batch} and {!query_string_batch} run independent queries
+    concurrently. [obs] is the engine's observability context (clock,
     metrics registry, slow-query log, tracing switch — see {!Xobs.Obs});
     by default each engine gets a private context with a monotonic clock
     and tracing off. Every layer records into its registry: engine
@@ -101,7 +98,6 @@ val of_doc :
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   Xdm.Doc.t ->
   (string * Xam.Pattern.t) list ->
@@ -115,7 +111,6 @@ val create_lazy :
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   ?doc:Xdm.Doc.t ->
   Xstorage.Store.lazy_catalog ->
@@ -141,7 +136,6 @@ val of_snapshot :
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   ?lazy_extents:bool ->
   ?extent_cache:int ->
@@ -168,7 +162,6 @@ val of_snapshot_r :
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   ?lazy_extents:bool ->
   ?extent_cache:int ->
@@ -278,9 +271,6 @@ val apply_batch_r : t -> mutation list -> (apply_report, Xerror.t) Stdlib.result
     records were batched. All-or-nothing: any invalid op rejects the whole batch with
     state unchanged. The report carries the {e final} LSN and the single
     maintenance pass's counts. An empty list is a no-op [Ok]. *)
-
-val apply_batch : t -> mutation list -> apply_report
-(** {!apply_batch_r}, raising [Xerror.Error]. *)
 
 val attach_wal_r :
   ?fs:Xwal.Fsio.ops ->
@@ -438,31 +428,25 @@ val query_ast : t -> Xquery.Ast.expr -> xquery_result
 val query_string_batch :
   ?domains:int ->
   t ->
-  (string * budget option) list ->
-  (xquery_result, Xerror.t) Stdlib.result list
-(** Answer independent XQuery strings concurrently on a transient pool of
-    [domains] domains — {!query_batch} for the XQuery front door, and the
-    execution path of the serving layer ({!Xserve.Server}). Each item
-    carries its own optional budget ([None] uses the engine default),
-    because a server batch mixes requests admitted at different times
-    with different remaining deadlines. Results come back in input order;
-    each is exactly what {!query_string_r} would return. *)
-
-val query_string_batch_traced :
-  ?domains:int ->
-  t ->
   (string * budget option * (Xobs.Trace.t * Xobs.Trace.span) option) list ->
   (xquery_result, Xerror.t) Stdlib.result list
-(** {!query_string_batch} for a caller that owns request-scoped traces
-    (the serving layer). An item carrying [Some (trace, parent)] runs
+(** Answer independent XQuery strings concurrently on a transient pool of
+    [domains] domains (default 1 = sequential) — {!query_batch} for the
+    XQuery front door, and the execution path of the serving layer
+    ({!Xserve.Server}). Each item carries its own optional budget ([None]
+    uses the engine default), because a server batch mixes requests
+    admitted at different times with different remaining deadlines.
+    Results come back in input order.
+
+    An item with no trace context is exactly what {!query_string_r}
+    would return. An item carrying [Some (trace, parent)] is for a
+    caller that owns request-scoped traces (the serving layer): it runs
     inside a fresh ["execute"] child span of [parent], with the engine's
     own parse → extract → pattern → execute span tree hanging under it;
     the engine does {e not} finish or slowlog-record such a trace (the
     caller owns its lifecycle) and the item's [xquery_trace] stays
-    [None]. Items with [None] behave exactly as in
-    {!query_string_batch}. A trace must not be shared between two items
-    of the same batch — each is touched only by the one domain running
-    its item. *)
+    [None]. A trace must not be shared between two items of the same
+    batch — each is touched only by the one domain running its item. *)
 
 (** {1 Catalog management} *)
 

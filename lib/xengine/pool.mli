@@ -1,4 +1,7 @@
-(** A small fixed-size domain pool (no work stealing).
+(** A small fixed-size domain pool (no work stealing): the engine's
+    inter-query parallelism ({!Engine.query_batch},
+    {!Engine.query_string_batch}) runs each batch of independent queries
+    on a transient pool.
 
     [create ~domains:n] spawns [n - 1] worker domains that sleep until a
     parallel operation publishes a batch; the calling domain participates
@@ -34,23 +37,7 @@ val self_index : unit -> int
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving: slot [i] of the result is [f arr.(i)]. *)
 
-val parallel_tasks : t -> ('a -> 'b) -> 'a array -> 'b array
-(** {!parallel_map} with one claim per element and no internal
-    re-chunking: the array is the caller's own partitioning of the work
-    (e.g. one task per storage partition), dispatched once with a single
-    completion barrier. *)
-
-val parallel_filter : t -> ('a -> bool) -> 'a array -> 'a array
-(** Parallel predicate evaluation; the kept elements stay in input
-    order. *)
-
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-val par : ?chunk_min:int -> ?verify:bool -> t -> Xalgebra.Par.t
-(** Package the pool as the {!Xalgebra.Par.t} capability the lower
-    layers consume. [chunk_min] (default 2048) is the smallest
-    collection parallel operators will split; [verify] (default false)
-    makes them recompute sequentially and fail on divergence. *)
 
 val shutdown : t -> unit
 (** Stop and join the workers. The pool must be idle; further parallel

@@ -622,8 +622,7 @@ let run_batch t jobs =
         in
         let results =
           try
-            Engine.query_string_batch_traced ~domains:t.cfg.domains engine
-              items
+            Engine.query_string_batch ~domains:t.cfg.domains engine items
           with e ->
             List.map
               (fun _ ->

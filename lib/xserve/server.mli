@@ -49,7 +49,7 @@
     [request_id], [tenant], and at close [outcome]/[status]) with
     explicit [queue_wait] and [dispatch] child spans stamped by the
     dispatcher and an [execute] span wrapping the engine's own span
-    tree ({!Xengine.Engine.query_string_batch_traced}); finished traces
+    tree ({!Xengine.Engine.query_string_batch}); finished traces
     land in the slowlog ring. When [access_log] is set, every answered
     request — admitted or refused — appends one JSON line
     ({!Accesslog.entry}) to a rotating log.

@@ -11,7 +11,7 @@
     per-summary-path partitions: tuples are classified by the summary
     path (φ) of the document node one designated ID column identifies.
     The partition directory (the list of path ids) is the physical unit
-    of scan pruning, parallel dispatch and snapshot paging. Partitions
+    of scan pruning and snapshot paging. Partitions
     remember original extent positions, so any subset reassembles in
     exact extent order — partitioned access is byte-identical to the
     monolithic extent. *)

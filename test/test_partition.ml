@@ -1,7 +1,6 @@
 (* Path-partitioned storage: partitions must be invisible to every
    answer. Partitioned catalogs produce byte-identical results to the
-   same catalog with the partition directories stripped, at 1, 2 and 4
-   domains; partitions reassemble extents exactly; scan pruning is
+   same catalog with the partition directories stripped; partitions reassemble extents exactly; scan pruning is
    surfaced in EXPLAIN without changing answers; a snapshot with one
    corrupt partition quarantines that partition alone while its siblings
    keep answering; and version-1 snapshot files still load. *)
@@ -14,7 +13,6 @@ module Models = Xstorage.Models
 module Snapshot = Xpersist.Snapshot
 module Binio = Xpersist.Binio
 module Engine = Xengine.Engine
-module Pool = Xengine.Pool
 module Pg = Xworkload.Pattern_gen
 
 let doc = Xworkload.Gen_bib.generate_doc ~seed:23 ~books:40 ~theses:15 ()
@@ -43,10 +41,6 @@ let patterns_for seed =
         { Pg.default with Pg.return_labels = labels; Pg.size = 4 }
         ~count:6)
     [ [ "title" ]; [ "author" ]; [ "title"; "author" ] ]
-
-let with_pool domains f =
-  let pool = Pool.create ~domains () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
 (* --- Partitions reassemble extents exactly -------------------------------- *)
 
@@ -84,12 +78,12 @@ let test_multi_partition_module_exists () =
          | None -> false)
        catalog.Store.modules)
 
-(* --- Byte-identity across partitioning and domain counts ------------------ *)
+(* --- Byte-identity across partitioning ------------------------------------ *)
 
-let identical_answers ~seed ~domains =
+let identical_answers ~seed =
   let pats = patterns_for seed in
-  let run cat pool =
-    let e = Engine.create ?pool ~doc cat in
+  let run cat =
+    let e = Engine.create ~doc cat in
     List.map
       (fun p ->
         match Engine.query_opt e p with
@@ -97,28 +91,19 @@ let identical_answers ~seed ~domains =
         | None -> None)
       pats
   in
-  let mono = run stripped None in
-  let check part =
-    List.for_all2
-      (fun m p ->
-        match (m, p) with
-        | None, None -> true
-        | Some (mr, _), Some (pr, _) -> mr = pr (* byte identity, not set *)
-        | _ -> false)
-      mono part
-  in
-  if domains = 1 then check (run catalog None)
-  else with_pool domains (fun pool -> check (run catalog (Some pool)))
+  List.for_all2
+    (fun m p ->
+      match (m, p) with
+      | None, None -> true
+      | Some (mr, _), Some (pr, _) -> mr = pr (* byte identity, not set *)
+      | _ -> false)
+    (run stripped) (run catalog)
 
 let byte_identity_prop =
-  QCheck2.Test.make
-    ~name:"partitioned = monolithic, byte-identical at 1/2/4 domains"
+  QCheck2.Test.make ~name:"partitioned = monolithic, byte-identical answers"
     ~count:5
     QCheck2.Gen.(int_bound 1000)
-    (fun seed ->
-      identical_answers ~seed ~domains:1
-      && identical_answers ~seed ~domains:2
-      && identical_answers ~seed ~domains:4)
+    (fun seed -> identical_answers ~seed)
 
 let test_pruning_surfaces_in_explain () =
   (* Across a workload over the partitioned catalog, EXPLAIN must report
